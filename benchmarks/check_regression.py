@@ -320,14 +320,12 @@ def check_suite(
 
     CPU-gated part (skipped below 2 CPUs, or when ``max_slowdown`` is 0
     — the "zeroed thresholds" smoke mode): per scenario, the ``safe``
-    optimize level, the serving result cache, the columnar engine and
-    the serving replica tier must not be more than ``max_slowdown``
-    times slower than their reference configurations (``speedup_safe``
-    / ``speedup_cache`` / ``speedup_columnar`` / ``speedup_replicas``
-    ``>= 1/max_slowdown``; the replica ratio is requests/s rather than
-    ``min_s`` — its timed region also pays the fork/stop lifecycle) and
-    the store backend must not be more than ``max_slowdown`` times
-    slower than the immutable relation
+    optimize level, the serving result cache and the columnar engine
+    must not be more than ``max_slowdown`` times slower than their
+    reference configurations (``speedup_safe`` / ``speedup_cache`` /
+    ``speedup_columnar`` ``>= 1/max_slowdown``) and the store backend
+    must not be more than ``max_slowdown`` times slower than the
+    immutable relation
     (``overhead_store_vs_relation <= max_slowdown``).
     Parallel and durability ratios are printed informationally — their
     honest values are runner-dependent (CPU count, disk) and gated by
@@ -380,12 +378,7 @@ def check_suite(
             continue
         ratios = entry.get("ratios", {})
         for key, value in sorted(ratios.items()):
-            if key in (
-                "speedup_safe",
-                "speedup_cache",
-                "speedup_columnar",
-                "speedup_replicas",
-            ):
+            if key in ("speedup_safe", "speedup_cache", "speedup_columnar"):
                 floor = 1.0 / max_slowdown
                 verdict = "ok" if value >= floor else "REGRESSION"
                 print(

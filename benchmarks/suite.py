@@ -49,7 +49,6 @@ from repro.db import TPDatabase
 from repro.prob.valuation import clear_valuation_cache
 from repro.serve import QueryService
 from repro.serve.protocol import relation_payload
-from repro.serve.replica import ReplicaSet
 
 try:  # package context: python -m benchmarks.suite, pytest
     from ._shared import environment_meta, warm_stats, write_record
@@ -74,13 +73,12 @@ class Config:
     durability: str = "off"  # "off" | "batch" | "commit"
     cache: bool = True  # serving result/plan cache on | off
     columnar: bool = False  # packed-column sweeps + compiled valuation
-    replicas: int = 0  # serving read-replica processes (0 = writer only)
 
     @property
     def label(self) -> str:
         """The stable key this config gets in ``BENCH_suite.json``.
 
-        ``cache``, ``columnar`` and ``replicas`` only mark the label when
+        ``cache`` and ``columnar`` only mark the label when
         they differ from the default, so every pre-existing label (and
         the committed records keyed by them) stays byte-identical.
         """
@@ -89,8 +87,6 @@ class Config:
             label += "-nocache"
         if self.columnar:
             label += "-columnar"
-        if self.replicas:
-            label += f"-replicas{self.replicas}"
         return label
 
 
@@ -134,7 +130,7 @@ def configs_for(kind: str) -> list[Config]:
         return [
             Config(optimize="safe", backend="store", cache=cache)
             for cache in (True, False)
-        ] + [Config(optimize="safe", backend="store", replicas=2)]
+        ]
     raise ValueError(f"unknown scenario kind {kind!r}")
 
 
@@ -150,19 +146,19 @@ def _canonical(relation) -> tuple:
     them — canonicalize to equal tuples.
     """
     if isinstance(relation, tuple):
-        return relation  # already canonical (a replica's wire payload)
+        return relation  # already canonical (a serving wire payload)
     rows = [(t.fact, t.start, t.end, str(t.lineage), t.p) for t in relation]
     rows.sort(key=repr)
     return tuple(rows)
 
 
 def _canonical_payload(payload: dict) -> tuple:
-    """Canonicalize a replica's wire payload to :func:`_canonical` form.
+    """Canonicalize a serving wire payload to :func:`_canonical` form.
 
     The payload rows are ``[fact, start, end, lineage text, p]`` — the
     exact fields :func:`_canonical` extracts from a relation — so the
-    replica configs join the same bit-identical fingerprint as every
-    in-process config.
+    serving configs join the same bit-identical fingerprint as every
+    other config.
     """
     rows = [
         (tuple(fact), start, end, lineage, p)
@@ -251,94 +247,35 @@ def _workload(
         # session lands the commit batches; one reader re-pins per batch
         # so the epoch spread stays realistic.  Each read is measured as
         # request -> wire payload — the server builds the payload on
-        # every response, cached or not, so the writer-only and replica
-        # configs pay the same unit of work.  Every payload joins the
-        # fingerprint, so cache-on, cache-off and the replica tier are
-        # asserted bit-identical across the whole interleaving.
+        # every response, cached or not.  Every payload joins the
+        # fingerprint, so cache-on and cache-off are asserted
+        # bit-identical across the whole interleaving.
         service = QueryService(db, cache_size=256 if config.cache else 0)
         readers = [service.open_session() for _ in range(3)]
         writer = service.open_session()
         latencies: list[float] = []
-        replicas: Optional[ReplicaSet] = None
-        dispatcher = None
-        if config.replicas:
-            # The replica tier: reader queries become tickets answered by
-            # the forked replicas, dispatched concurrently (that is the
-            # point of the tier) but collected in submission order so the
-            # fingerprint stays deterministic.  rps is the honest metric
-            # here — min_s also pays the fork/stop lifecycle.
-            import concurrent.futures
-
-            replicas = ReplicaSet(db, config.replicas)
-            replicas.start()
-            dispatcher = concurrent.futures.ThreadPoolExecutor(
-                max_workers=config.replicas
-            )
-
-        def _timed_replica_read(index: int, ticket: tuple) -> tuple[float, tuple]:
-            assert replicas is not None
-            started = time.perf_counter()
-            payload = replicas.query(index, ticket)
-            return time.perf_counter() - started, _canonical_payload(
-                payload["relation"]
-            )
-
         read_seconds = 0.0  # wall clock of the read phases only
-        try:
-            for index, (target, delta) in enumerate(scenario.deltas):
-                reads_started = time.perf_counter()
-                if replicas is not None and dispatcher is not None:
-                    futures = []
-                    for r_index, session_id in enumerate(readers):
-                        for query in scenario.queries:
-                            ticket = service.route_read(
-                                session_id, query, optimize=config.optimize
-                            )
-                            assert ticket is not None, (
-                                "serving readers must be replica-routable"
-                            )
-                            futures.append(
-                                dispatcher.submit(
-                                    _timed_replica_read, r_index, ticket
-                                )
-                            )
-                    for future in futures:
-                        elapsed, canonical = future.result()
-                        latencies.append(elapsed)
-                        results.append(canonical)
-                else:
-                    for session_id in readers:
-                        for query in scenario.queries:
-                            started = time.perf_counter()
-                            response = service.execute(
-                                session_id, query, optimize=config.optimize
-                            )
-                            payload = relation_payload(response.relation)
-                            latencies.append(time.perf_counter() - started)
-                            results.append(_canonical_payload(payload))
-                read_seconds += time.perf_counter() - reads_started
-                changeset = service.commit(
-                    writer, target, inserts=delta.inserts, deletes=delta.deletes
-                )
-                if replicas is not None and changeset:
-                    replicas.fan_out_commit(
-                        target, changeset, tuple(service.live_parts())
+        for index, (target, delta) in enumerate(scenario.deltas):
+            reads_started = time.perf_counter()
+            for session_id in readers:
+                for query in scenario.queries:
+                    started = time.perf_counter()
+                    response = service.execute(
+                        session_id, query, optimize=config.optimize
                     )
-                service.begin(readers[index % len(readers)])
-        finally:
-            if dispatcher is not None:
-                dispatcher.shutdown(wait=True)
-            if replicas is not None:
-                replicas.stop()
+                    payload = relation_payload(response.relation)
+                    latencies.append(time.perf_counter() - started)
+                    results.append(_canonical_payload(payload))
+            read_seconds += time.perf_counter() - reads_started
+            service.commit(
+                writer, target, inserts=delta.inserts, deletes=delta.deletes
+            )
+            service.begin(readers[index % len(readers)])
         db.flush()
         for name in scenario.relations:
             results.append(db.relation(name))
         latencies.sort()
-        # Throughput over the wall clock of the read phases: for the
-        # serial configs this equals the old sum-of-latencies measure,
-        # and for the replica configs it credits genuine concurrency
-        # (per-request latency sums would erase exactly the win the
-        # tier exists for).
+        # Throughput over the wall clock of the read phases.
         extras = {
             "requests": len(latencies),
             "p50_ms": round(_percentile(latencies, 0.50) * 1000, 4),
@@ -438,18 +375,6 @@ def _ratios(kind: str, timings: dict[str, dict]) -> dict[str, float]:
             _min("safe-1w-store-off"),
         )
 
-        # The replica tier's honest metric is requests/s, not min_s: the
-        # timed region of the replicas config also pays the fork/stop
-        # lifecycle, so the ratio is (replica-tier rps / writer-only rps)
-        # over identical request streams — > 1 is a win.
-        def _rps(label: str) -> Optional[float]:
-            entry = timings.get(label)
-            return None if entry is None else entry.get("rps")
-
-        pairs["speedup_replicas"] = (
-            _rps("safe-1w-store-off-replicas2"),
-            _rps("safe-1w-store-off"),
-        )
     ratios: dict[str, float] = {}
     for name, (numerator, denominator) in pairs.items():
         if numerator is not None and denominator not in (None, 0):

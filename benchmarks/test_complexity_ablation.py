@@ -43,13 +43,12 @@ def test_lawa_subquadratic_growth(benchmark):
     )
 
 
-@pytest.mark.parametrize("engine", ["LAWA", "LAWA-COL"])
 @pytest.mark.parametrize("op", ["union", "intersect", "except"])
-def test_columnar_vs_reference(benchmark, engine, op, synthetic_medium):
-    """The faithful object sweep vs the vectorized NumPy kernels."""
-    benchmark.group = f"ablation-columnar-{op}"
+def test_lawa_per_operation(benchmark, op, synthetic_medium):
+    """The LAWA pipeline on one medium synthetic pair, per set operation."""
+    benchmark.group = f"ablation-setops-{op}"
     r, s = synthetic_medium
-    algorithm = get_algorithm(engine)
+    algorithm = get_algorithm("LAWA")
     result = benchmark.pedantic(
         lambda: algorithm.compute(op, r, s), rounds=2, iterations=1
     )

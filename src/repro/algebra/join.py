@@ -63,6 +63,8 @@ __all__ = [
     "join_layout",
     "join_layout_from_schemas",
     "join_group_rows",
+    "merge_carried_rows",
+    "merge_coinciding_rows",
     "preserved_lineage",
     "tp_join",
     "tp_left_outer_join",
@@ -407,6 +409,7 @@ def _generalized_join(
     if do_matches or preserve_left or preserve_right:
         sweep_policy = WindowPolicy(do_matches, preserve_left, preserve_right)
         rows = _sweep_rows(layout, r, s, sweep_policy)
+        rows, carried = merge_carried_rows(rows, carried)
 
     if materialize:
         # One batch over the interned lineages: each distinct formula is
@@ -566,7 +569,87 @@ def join_group_rows(
                     w.win_te,
                 )
             )
-    return rows
+    return merge_coinciding_rows(layout, policy, group_l, group_s, rows)
+
+
+def merge_coinciding_rows(
+    layout: JoinLayout,
+    policy: WindowPolicy,
+    group_l: Sequence[TPTuple],
+    group_s: Sequence[TPTuple],
+    rows: list,
+) -> list:
+    """Union the rows of one key group whose output facts coincide.
+
+    Nulls in an input's non-join attributes (the padding of a nested
+    outer join) can make a null-padded output fact equal a matched one,
+    or a preserved-left fact equal a preserved-right one.  Set semantics
+    keeps a single such fact, present whenever any of its sources is:
+    its rows are split at their end points, each segment carries the
+    disjunction of the lineages valid there (in row order), and adjacent
+    equal-lineage segments are coalesced.  Returns ``rows`` itself
+    unless an outer join meets an all-null non-join part.
+    """
+    sources = policy.matches + policy.preserve_left + policy.preserve_right
+    if len(rows) < 2 or sources < 2:
+        return rows
+    if not (
+        (policy.preserve_right and _has_null_rest(group_l, layout.r_rest_idx))
+        or (policy.preserve_left and _has_null_rest(group_s, layout.s_rest_idx))
+    ):
+        return rows
+    return _merge_by_fact(rows)
+
+
+def merge_carried_rows(rows: list, carried: list[TPTuple]) -> tuple[list, list]:
+    """Fold collapse-carried tuples into the swept rows they coincide with.
+
+    A degenerate-layout collapse copies one side through while the other
+    preserved side is still swept; a carried tuple whose non-join values
+    are all null has the same fact as a null-padded row.  Such tuples
+    become rows (after the swept ones, so the lineage order matches a
+    per-group assembly) and are unioned by :func:`merge_coinciding_rows`'s
+    rule; returns ``(rows, carried)`` unchanged when nothing coincides.
+    """
+    if not rows or not carried:
+        return rows, carried
+    facts = {row[0] for row in rows}
+    if not any(t.fact in facts for t in carried):
+        return rows, carried
+    hit = [(t.fact, t.lineage, t.start, t.end) for t in carried if t.fact in facts]
+    kept = [t for t in carried if t.fact not in facts]
+    return _merge_by_fact(rows + hit), kept
+
+
+def _merge_by_fact(rows: list) -> list:
+    by_fact: dict = {}
+    for row in rows:
+        by_fact.setdefault(row[0], []).append(row)
+    if len(by_fact) == len(rows):
+        return rows
+    merged: list = []
+    for fact, same in by_fact.items():
+        merged.extend(same if len(same) == 1 else _union_rows(fact, same))
+    return merged
+
+
+def _has_null_rest(group: Sequence[TPTuple], rest_idx: tuple[int, ...]) -> bool:
+    return any(all(u.fact[i] is None for i in rest_idx) for u in group)
+
+
+def _union_rows(fact: Fact, rows: list) -> list:
+    points = sorted({point for row in rows for point in (row[2], row[3])})
+    out: list = []
+    for lo, hi in zip(points, points[1:]):
+        active = [row[1] for row in rows if row[2] <= lo and hi <= row[3]]
+        if not active:
+            continue
+        lam = lor(*active)
+        if out and out[-1][3] == lo and out[-1][1] == lam:
+            out[-1] = (fact, lam, out[-1][2], hi)
+        else:
+            out.append((fact, lam, lo, hi))
+    return out
 
 
 def _group_by_key(

@@ -46,7 +46,7 @@ from ..core.schema import Fact
 from ..core.sorting import null_safe_key
 from ..core.tuple import TPTuple
 from ..lineage.concat import concat_or
-from ..lineage.formula import land
+from ..lineage.formula import land, lor
 from ..prob.valuation import ProbabilityOptions, probability_batch
 
 __all__ = ["naive_join_operation"]
@@ -90,11 +90,17 @@ def naive_join_operation(
             valid_s = [u for u in group_s if u.start <= b0 and u.end >= b1]
             if not valid_r and not valid_s:
                 continue
+            # Set semantics: contributions whose facts coincide (nulls in
+            # a side's non-join attributes) are one fact, their lineages
+            # disjoined.
+            segment: dict[Fact, list] = {}
             for fact, lam in _contributions(
                 kind, layout, policy, s_collapse, r_collapse, valid_r, valid_s
             ):
+                segment.setdefault(fact, []).append(lam)
+            for fact, lams in segment.items():
                 fragments.setdefault(fact, []).append(
-                    TPTuple(fact, lam, Interval(b0, b1))
+                    TPTuple(fact, lor(*lams), Interval(b0, b1))
                 )
 
     out: list[TPTuple] = []

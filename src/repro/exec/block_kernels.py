@@ -318,5 +318,5 @@ def columnar_join_group_rows(
     from .engine import _decode_join_codes
 
     rows: list[tuple] = []
-    _decode_join_codes(layout, codes, group_l, group_s, rows)
+    _decode_join_codes(layout, policy, codes, group_l, group_s, rows)
     return rows

@@ -29,7 +29,12 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from ..algebra.join import JoinLayout, join_group_rows, preserved_lineage
+from ..algebra.join import (
+    JoinLayout,
+    join_group_rows,
+    merge_coinciding_rows,
+    preserved_lineage,
+)
 from ..core.gtwindow import WindowPolicy
 from ..core.setops import sweep_rows
 from ..core.tuple import TPTuple
@@ -129,6 +134,7 @@ def _decode_setop_codes(
 
 def _decode_join_codes(
     layout: JoinLayout,
+    policy: WindowPolicy,
     codes: list[tuple],
     group_l: Sequence[TPTuple],
     group_s: Sequence[TPTuple],
@@ -138,7 +144,8 @@ def _decode_join_codes(
     matched_fact = layout.matched_fact
     left_fact = layout.left_fact
     right_fact = layout.right_fact
-    append = out.append
+    rows: list[tuple] = []
+    append = rows.append
     for code in codes:
         tag = code[0]
         if tag == 0:
@@ -179,6 +186,7 @@ def _decode_join_codes(
                     win_te,
                 )
             )
+    out.extend(merge_coinciding_rows(layout, policy, group_l, group_s, rows))
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +275,7 @@ def join_sweep_rows(
     rows: list[tuple] = []
     for (lo, hi), chunk_codes in zip(spans, results):
         for (gl, gs), codes in zip(groups[lo:hi], chunk_codes):
-            _decode_join_codes(layout, codes, gl, gs, rows)
+            _decode_join_codes(layout, policy, codes, gl, gs, rows)
     return rows
 
 
@@ -332,8 +340,8 @@ def group_rows_many(
                 _, op, lt, rt = job
                 _decode_setop_codes(codes, lt, 0, rt, 0, OPCODES[op], rows)
             else:
-                _, layout, _, lt, rt = job
-                _decode_join_codes(layout, codes, lt, rt, rows)
+                _, layout, policy, lt, rt = job
+                _decode_join_codes(layout, policy, codes, lt, rt, rows)
             out.append(rows)
     return out
 

@@ -162,19 +162,6 @@ def pool_worker_pids() -> list[int]:
     return pids
 
 
-def forget_pools() -> None:
-    """Drop every registry entry without touching the processes.
-
-    A forked child inherits ``_POOLS`` by copy, but the workers inside
-    those pools are the *parent's* children: the child may neither join
-    them (``multiprocessing`` asserts parenthood) nor terminate them
-    (they are the parent's live infrastructure).  A long-lived forked
-    process — a serve replica, say — calls this first, so its own
-    shutdown only ever reaps pools it created itself.
-    """
-    _POOLS.clear()
-
-
 def shutdown_pools(workers: Optional[int] = None) -> None:
     """Terminate one pool (or all) — used by tests and at exit."""
     if workers is not None:

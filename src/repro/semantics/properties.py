@@ -16,6 +16,7 @@ from typing import Optional
 
 from ..core.coalesce import is_coalesced
 from ..core.relation import TPRelation
+from ..core.sorting import null_safe_key
 from ..core.timeslice import snapshot_lineages
 from ..lineage.concat import concat_and, concat_and_not, concat_or
 from ..lineage.formula import Lineage
@@ -83,7 +84,7 @@ def check_change_preservation(result: TPRelation) -> list[str]:
     """Verify Def. 2's maximality: no adjacent same-fact equal-lineage tuples."""
     violations: list[str] = []
     if not is_coalesced(result.tuples):
-        ordered = sorted(result.tuples, key=lambda t: t.sort_key)
+        ordered = sorted(result.tuples, key=null_safe_key)
         for prev, curr in zip(ordered, ordered[1:]):
             if (
                 prev.fact == curr.fact
@@ -99,7 +100,7 @@ def check_change_preservation(result: TPRelation) -> list[str]:
 def check_duplicate_free(result: TPRelation) -> list[str]:
     """Verify the duplicate-freeness convention on an output relation."""
     violations: list[str] = []
-    ordered = sorted(result.tuples, key=lambda t: t.sort_key)
+    ordered = sorted(result.tuples, key=null_safe_key)
     for prev, curr in zip(ordered, ordered[1:]):
         if prev.fact == curr.fact and curr.start < prev.end:
             violations.append(

@@ -96,16 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="capacity of the plan and result caches, in entries; "
         "0 disables caching (default 256)",
     )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fork N read-only replica processes and route read-only "
-        "sessions to them round-robin; writes stay on the authoritative "
-        "process, and a killed replica is respawned transparently "
-        "(default 0: no replicas)",
-    )
     return parser
 
 
@@ -126,8 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--request-timeout must be positive")
     if args.cache_size < 0:
         parser.error("--cache-size must be >= 0")
-    if args.replicas < 0:
-        parser.error("--replicas must be >= 0")
 
     db = TPDatabase(
         parallel=args.workers,
@@ -148,7 +136,6 @@ def main(argv: list[str] | None = None) -> int:
                 port=args.port,
                 request_timeout=args.request_timeout,
                 cache_size=args.cache_size,
-                replicas=args.replicas,
                 ready=lambda host, port: print(
                     f"serving on {host}:{port}", flush=True
                 ),

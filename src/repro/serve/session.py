@@ -46,11 +46,6 @@ class Session:
     session_id: int
     catalog: dict[str, TPRelation] = field(default_factory=dict)
     epochs: dict[str, EpochPart] = field(default_factory=dict)
-    #: Set once the session commits or creates a relation.  A written
-    #: session is pinned to the authoritative process for the rest of its
-    #: life (DESIGN.md §16): its reads must see its own writes, and only
-    #: the writer is guaranteed to hold them.
-    written: bool = False
 
     def epoch_key(self, names: Iterable[str]) -> tuple[EpochPart, ...]:
         """The signature restricted to ``names`` (sorted, unknowns skipped).

@@ -1,23 +1,17 @@
 """End-to-end serve smoke: launch, exercise, SIGTERM, verify cleanup.
 
-Run as ``python -m repro.serve.smoke``; CI's serve-smoke job does (and
-the serve-replicas job re-runs it with ``--replicas 2``).  The script is
-the serving layer's acceptance walk in one process tree:
+Run as ``python -m repro.serve.smoke``; CI's serve-smoke job does.  The
+script is the serving layer's acceptance walk in one process tree:
 
 1. launch ``python -m repro.serve --port 0 --data-dir D --workers 2``
-   (plus ``--replicas N`` when requested) and parse the ready line for
-   the bound port;
+   and parse the ready line for the bound port;
 2. create relations, run a query twice — the second must be served from
    cache — commit, and see the re-run miss (epoch invalidation) with
    the new row visible;
-3. with replicas: open a second, read-only connection — its queries are
-   routed to a replica — and check its answers are bit-identical to the
-   writer's, its repeat is served from the replica's cache, and the
-   commit fan-out made the write visible;
-4. collect the exec-pool worker PIDs (and replica PIDs) via the
-   ``stats`` op, SIGTERM the server mid-conversation, and assert: exit
-   code 0, every collected PID gone, and the data directory recovers to
-   exactly the committed state.
+3. collect the exec-pool worker PIDs via the ``stats`` op, SIGTERM the
+   server while a connection is still open, and assert: exit code 0, no
+   traceback in the server's output, every collected PID gone, and the
+   data directory recovers to exactly the committed state.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ READY_PREFIX = "serving on "
 STARTUP_DEADLINE_S = 60.0
 
 
-def _launch(data_dir: Path, replicas: int = 0) -> tuple[subprocess.Popen, int]:
+def _launch(data_dir: Path) -> tuple[subprocess.Popen, int]:
     """Start a server subprocess; returns (process, bound port)."""
     argv = [
         sys.executable,
@@ -53,8 +47,6 @@ def _launch(data_dir: Path, replicas: int = 0) -> tuple[subprocess.Popen, int]:
         "--workers",
         "2",
     ]
-    if replicas:
-        argv += ["--replicas", str(replicas)]
     process = subprocess.Popen(
         argv,
         stdout=subprocess.PIPE,
@@ -76,59 +68,35 @@ def _launch(data_dir: Path, replicas: int = 0) -> tuple[subprocess.Popen, int]:
             return process, int(line.strip().rsplit(":", 1)[1])
 
 
-def _exercise(port: int, replicas: int = 0) -> list[int]:
+def _exercise(client: ServeClient) -> list[int]:
     """The scripted conversation; returns every PID that must die on exit."""
-    with ServeClient("127.0.0.1", port) as client:
-        assert client.ping()["pong"] is True
-        client.create(
-            "a",
-            ["product"],
-            [["milk", 2, 10, 0.3], ["chips", 4, 7, 0.8]],
-        )
-        client.create("b", ["product"], [["milk", 5, 12, 0.5]])
+    assert client.ping()["pong"] is True
+    client.create(
+        "a",
+        ["product"],
+        [["milk", 2, 10, 0.3], ["chips", 4, 7, 0.8]],
+    )
+    client.create("b", ["product"], [["milk", 5, 12, 0.5]])
 
-        first = client.query("a | b", optimize="safe")
-        assert first["cached"] is False
-        again = client.query("a | b", optimize="safe")
-        assert again["cached"] is True, "hot query must be served from cache"
-        assert again["relation"] == first["relation"], "cache must be bit-identical"
+    first = client.query("a | b", optimize="safe")
+    assert first["cached"] is False
+    again = client.query("a | b", optimize="safe")
+    assert again["cached"] is True, "hot query must be served from cache"
+    assert again["relation"] == first["relation"], "cache must be bit-identical"
 
-        explain = client.query("EXPLAIN a | b", optimize="safe")
-        assert "plan" in explain["explain"].lower()
+    explain = client.query("EXPLAIN a | b", optimize="safe")
+    assert "plan" in explain["explain"].lower()
 
-        committed = client.commit("a", inserts=[["beer", 3, 8, 0.5]])
-        assert committed["inserted"] == 1
-        after = client.query("a | b", optimize="safe")
-        assert after["cached"] is False, "commit must invalidate the cache"
-        facts = {row[0][0] for row in after["relation"]["rows"]}
-        assert "beer" in facts, "the committing session reads its own write"
+    committed = client.commit("a", inserts=[["beer", 3, 8, 0.5]])
+    assert committed["inserted"] == 1
+    after = client.query("a | b", optimize="safe")
+    assert after["cached"] is False, "commit must invalidate the cache"
+    facts = {row[0][0] for row in after["relation"]["rows"]}
+    assert "beer" in facts, "the committing session reads its own write"
 
-        stats = client.stats()["stats"]
-        assert stats["results"]["hits"] >= 1
-        pids = list(stats["pool_workers"])
-
-        if replicas:
-            replica_stats = stats["replicas"]
-            assert replica_stats["count"] == replicas, replica_stats
-            assert len(replica_stats["pids"]) == replicas, (
-                f"expected {replicas} live replicas, got {replica_stats}"
-            )
-            assert replica_stats["respawns"] == 0, replica_stats
-            pids.extend(replica_stats["pids"])
-            # A second, read-only connection exercises the replica path:
-            # the commit fan-out must have made the write visible there,
-            # and repeated reads hit that replica's own result cache.
-            with ServeClient("127.0.0.1", port) as reader:
-                routed = reader.query("a | b", optimize="safe")
-                assert routed["relation"] == after["relation"], (
-                    "replica answer must be bit-identical to the writer's"
-                )
-                repeat = reader.query("a | b", optimize="safe")
-                assert repeat["cached"] is True, (
-                    "replica repeat must be served from its result cache"
-                )
-                assert repeat["relation"] == after["relation"]
-        return pids
+    stats = client.stats()["stats"]
+    assert stats["results"]["hits"] >= 1
+    return list(stats["pool_workers"])
 
 
 def _assert_dead(pids: list[int]) -> None:
@@ -149,31 +117,28 @@ def _assert_recoverable(data_dir: Path) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """Run the smoke sequence; 0 on success (assertions fail loudly)."""
-    parser = argparse.ArgumentParser(prog="python -m repro.serve.smoke")
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run the server with N read replicas and exercise the "
-        "replica routing path too (default 0)",
-    )
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(prog="python -m repro.serve.smoke").parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
         data_dir = Path(tmp) / "data"
-        process, port = _launch(data_dir, args.replicas)
+        process, port = _launch(data_dir)
         try:
-            pids = _exercise(port, args.replicas)
-            process.send_signal(signal.SIGTERM)
-            rc = process.wait(timeout=STARTUP_DEADLINE_S)
-            assert rc == 0, f"server exited {rc} on SIGTERM"
+            with ServeClient("127.0.0.1", port) as client:
+                pids = _exercise(client)
+                # SIGTERM with the connection still open: shutdown must
+                # cancel its handler quietly.
+                process.send_signal(signal.SIGTERM)
+                output, _ = process.communicate(timeout=STARTUP_DEADLINE_S)
+            assert process.returncode == 0, (
+                f"server exited {process.returncode} on SIGTERM"
+            )
+            assert "Traceback" not in output, f"server output:\n{output}"
         finally:
             if process.poll() is None:
                 process.kill()
                 process.wait()
         _assert_dead(pids)
         _assert_recoverable(data_dir)
-    print("serve smoke OK" + (f" (replicas={args.replicas})" if args.replicas else ""))
+    print("serve smoke OK")
     return 0
 
 

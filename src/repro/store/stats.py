@@ -6,9 +6,9 @@ single pass over an immutable relation; for a write-heavy
 full scan per plan.  :class:`StoreStatistics` instead piggybacks on the
 store's epoch/:class:`~repro.store.ChangeSet` machinery:
 
-* it registers as a change-log **consumer** (the same weak-consumer
-  protocol materialized views use), so the store retains exactly the
-  change sets the statistics still have to replay and prunes the rest;
+* it reads the store's change log but does **not** register as a
+  consumer: its ``seen_epoch`` only advances when someone reads it, so
+  pinning the log would let one early read hold back pruning for good;
 * on read it replays the pending change sets, updating tuple counts,
   per-fact-group cardinalities, per-attribute distinct-value counters
   and the coverage histogram *incrementally* — O(changes), not O(store);
@@ -21,10 +21,10 @@ store's epoch/:class:`~repro.store.ChangeSet` machinery:
   outgrows the old edges by half a histogram width, so an append-heavy
   time-series workload rebuilds O(log span) times, not O(inserts).
 
-A pruned-past-our-epoch change log (possible when the maintainer was
-created long before its first read and no other consumer pinned the
-log) falls back to the same full rebuild, so the summary is never
-silently wrong.
+A change log pruned past our epoch (the store caps an unconsumed log at
+:data:`~repro.store.segment.UNCONSUMED_LOG_CAP`, and views prune up to
+their own read position) falls back to the same full rebuild, so the
+summary is never silently wrong.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class StoreStatistics:
         self._hist_span: Optional[tuple[int, int]] = None
         self._histogram: list[int] = []
         self._dirty = True  # first read performs the seeding pass
-        store.register_consumer(self)
 
     # ------------------------------------------------------------------
     # maintenance

@@ -44,6 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from ..algebra.join import (
     JoinLayout,
     join_layout_from_schemas,
+    merge_carried_rows,
     tp_join_operation,
 )
 from ..core.errors import UnsupportedOperationError
@@ -525,7 +526,9 @@ class _JoinNode:
     @staticmethod
     def _assemble(carried: list[TPTuple], rows: list) -> list[TPTuple]:
         """Kernel rows first, then the collapse-carried tuples — the
-        emission order of the pre-batching implementation."""
+        emission order of the pre-batching implementation; carried tuples
+        that coincide with a null-padded row are unioned into it."""
+        rows, carried = merge_carried_rows(rows, carried)
         out = _tuples_from_rows(rows)
         out.extend(carried)
         return out

@@ -269,3 +269,24 @@ class TestStatisticsConsistency:
         store.delete_where(lambda t: True)  # wipe
         assert maintainer.current().n_tuples == 0
         assert maintainer.current().span is None
+
+    def test_stats_of_does_not_pin_the_change_log(self):
+        from repro.db import TPDatabase
+        from repro.query.stats import stats_from_tuples
+        from repro.store.segment import UNCONSUMED_LOG_CAP
+
+        db = TPDatabase()
+        db.create_relation("r", ("k",), [("x", 0, 5, 0.5)])
+        db.insert("r", [("y", 1, 3, 0.4)])
+        db.stats_of("r")
+        for i in range(3000):
+            db.insert("r", [(f"k{i}", i, i + 2, 0.3)])
+        store = db.store("r")
+        # An unconsumed log is capped; one statistics read must not turn
+        # it into an unbounded one.
+        assert store.segment_stats()["log_entries"] <= UNCONSUMED_LOG_CAP
+        # The maintainer rebuilds from the store once the log no longer
+        # reaches back to its epoch.
+        assert db.stats_of("r") == stats_from_tuples(
+            "r", ("k",), store.iter_sorted()
+        )

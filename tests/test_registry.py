@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import UnsupportedOperationError
@@ -28,7 +32,6 @@ class TestRegistry:
     def test_all_includes_extras(self):
         names = {a.name for a in all_algorithms()}
         assert "SWEEP" in names
-        assert "LAWA-COL" in names
 
     def test_extras_not_in_paper_matrix(self):
         assert set(support_matrix(paper_only=True)) == {
@@ -49,6 +52,15 @@ class TestRegistry:
 
     def test_fresh_instances(self):
         assert get_algorithm("OIP") is not get_algorithm("OIP")
+
+    def test_engine_import_does_not_load_numpy(self):
+        """No registered algorithm pulls numpy into the engine's processes."""
+        probe = (
+            "import sys, repro.baselines, repro.serve.server, repro.db.database; "
+            "sys.exit('numpy' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 class TestTable2:
@@ -81,7 +93,7 @@ class TestTable2:
             "NORM",
             "TPDB",
         ]
-        assert len(algorithms_supporting("intersect", paper_only=False)) == 7
+        assert len(algorithms_supporting("intersect", paper_only=False)) == 6
 
     def test_render(self):
         text = render_support_matrix()

@@ -12,8 +12,8 @@ from repro.semantics import (
 )
 
 
-def _relation(tuples, events):
-    return TPRelation("t", TPSchema(("x",)), tuples, events, validate=False)
+def _relation(tuples, events, attributes=("x",)):
+    return TPRelation("t", TPSchema(attributes), tuples, events, validate=False)
 
 
 class TestSnapshotReducibilityChecker:
@@ -83,3 +83,18 @@ class TestDuplicateFreeChecker:
 
     def test_accepts_disjoint(self, rel_c):
         assert check_duplicate_free(rel_c) == []
+
+    def test_flags_overlap_of_null_padded_facts(self):
+        # Outer joins emit facts holding None; the checker must order
+        # them without comparing None against a value.
+        padded = _relation(
+            [
+                TPTuple(("k", None), Var("r1"), Interval(1, 5), 0.5),
+                TPTuple(("k", "x"), Var("r2"), Interval(2, 3), 0.5),
+                TPTuple(("k", None), Var("r2"), Interval(4, 8), 0.5),
+            ],
+            {"r1": 0.5, "r2": 0.5},
+            attributes=("a", "b"),
+        )
+        assert check_duplicate_free(padded)
+

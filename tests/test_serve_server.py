@@ -237,7 +237,11 @@ def test_oversized_request_line_is_refused():
 
 
 def test_sigterm_smoke_leaves_a_recoverable_data_dir():
-    """Full subprocess round trip: serve, exercise, SIGTERM, recover."""
+    """Full subprocess round trip: serve, exercise, SIGTERM, recover.
+
+    The SIGTERM lands while a connection is still open; the server must
+    exit 0 with no traceback in its output.
+    """
     from repro.serve import smoke
 
     assert smoke.main([]) == 0
