@@ -396,7 +396,8 @@ def _generalized_join(
         return _degenerate_full_outer(name, layout, r, s, events, materialize, options)
     if do_matches and preserve_left and layout.s_degenerate:
         # Matched and preserved-left facts coincide; lineages merge to λr.
-        carried.extend(r.tuples)
+        # p-less tuples are copied: the output owns what it fills.
+        carried.extend(t if t.p is not None else TPTuple(t.fact, t.lineage, t.interval) for t in r)
         do_matches = preserve_left = False
     if policy.matches and preserve_right and layout.r_degenerate:
         # Mirror: the right side collapses to its key-ordered projection.

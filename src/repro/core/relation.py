@@ -191,8 +191,14 @@ class TPRelation:
         if cache is None:
             # Same full (F, Ts, Te) key as repro.core.sorting, so the
             # default path and the explicit strategies order raw-stream
-            # ties identically (DESIGN.md §6.2).
-            cache = sorted(self._tuples, key=_full_key)
+            # ties identically (DESIGN.md §6.2).  Null-padded facts that
+            # reach here unsorted (a collapsed outer join's projection)
+            # take the null-safe order, which agrees with the plain one
+            # wherever that is defined and with the sweeps' fact_lt.
+            try:
+                cache = sorted(self._tuples, key=_full_key)
+            except TypeError:
+                cache = sorted(self._tuples, key=null_safe_key)
             self._sorted_cache = cache
         return cache
 
@@ -323,24 +329,44 @@ class TPRelation:
 
         Valuation is batched: interning makes repeated lineages
         identity-equal, so each distinct formula is valuated once
-        (see :func:`repro.prob.valuation.probability_batch`).
+        (see :func:`repro.prob.valuation.probability_batch`).  ``self``
+        and its tuples are left untouched: the ``p``-less tuples are
+        copied, and the copies are filled in place.
+        """
+        copied = [
+            t if t.p is not None else TPTuple(t.fact, t.lineage, t.interval)
+            for t in self._tuples
+        ]
+        result = TPRelation(
+            self.name, self.schema, copied, self.events, validate=False
+        )
+        if self._sorted_cache is not None and self.is_sorted_by_fact_ts:
+            result._sorted_cache = list(result._tuples)
+        result._fill_probabilities(method=method, options=options)
+        return result
+
+    def _fill_probabilities(
+        self, *, method: Method = Method.AUTO,
+        options: Optional[ProbabilityOptions] = None,
+    ) -> None:
+        """Set ``p`` in place on every ``p``-less tuple (DESIGN.md §6.3).
+
+        Only for a relation that owns its ``p``-less tuples — freshly
+        allocated by the caller and not yet seen by anyone else — since
+        the write reaches every relation sharing those tuple objects.
+        It must also run before the tuples are hashed: the generated
+        ``TPTuple.__hash__`` covers ``p``.  The valuation stays behind
+        this module's ``probability_batch`` name, the one seam every
+        root materialization goes through.
         """
         pending = [t for t in self._tuples if t.p is None]
         values = probability_batch(
             (t.lineage for t in pending), self.events,
             method=method, options=options,
         )
-        by_identity = iter(values)
-        materialized = [
-            t if t.p is not None else t.with_probability(next(by_identity))
-            for t in self._tuples
-        ]
-        result = TPRelation(
-            self.name, self.schema, materialized, self.events, validate=False
-        )
-        if self._sorted_cache is not None and self.is_sorted_by_fact_ts:
-            result._sorted_cache = list(result._tuples)
-        return result
+        set_ = object.__setattr__
+        for t, p in zip(pending, values):
+            set_(t, "p", p)
 
     def probability_of(self, t: TPTuple, *, method: Method = Method.AUTO) -> float:
         """Marginal probability of one tuple's lineage under this relation."""

@@ -12,7 +12,7 @@ lineage and the relation's event map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..lineage.formula import Lineage, Var
@@ -60,13 +60,15 @@ class TPTuple:
         """The (F, Ts) key by which LAWA expects relations to be sorted."""
         return (self.fact, self.interval.start)
 
+    # The copies below call the constructor directly: a fraction of
+    # dataclasses.replace's cost, which re-reads every field by name.
     def with_probability(self, p: float) -> "TPTuple":
         """A copy of this tuple with its probability materialized."""
-        return replace(self, p=p)
+        return TPTuple(self.fact, self.lineage, self.interval, p)
 
     def with_interval(self, interval: Interval) -> "TPTuple":
         """A copy of this tuple valid over a different interval."""
-        return replace(self, interval=interval)
+        return TPTuple(self.fact, self.lineage, interval, self.p)
 
     def __str__(self) -> str:
         fact_text = ", ".join(repr(v) for v in self.fact)

@@ -11,7 +11,8 @@ Performance notes (DESIGN.md §5–§6): intermediate set-operation results
 are emitted in ``(F, Ts)`` order and carry their sortedness flag, so a
 chain of operations sorts each base relation at most once; the root
 materialization is a single batch valuation over interned lineages, so a
-formula shared by many result tuples is valuated once.
+formula shared by many result tuples is valuated once, and a kernel root
+is filled in place rather than copied (DESIGN.md §6.3).
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ __all__ = ["execute_plan"]
 #: estimates-vs-actuals rendering keys on.
 Observer = Callable[[tuple, PhysicalPlan, TPRelation], None]
 
+#: Plan nodes whose result tuples a kernel built for this execution.
+_KERNEL_PLANS = (SetOpPlan, MultiSetOpPlan, JoinPlan)
+
 
 def execute_plan(
     plan: PhysicalPlan,
@@ -63,7 +67,13 @@ def execute_plan(
     with parallel_execution(parallel):
         result = _run(plan, catalog, observe, ())
         if materialize:
-            result = result.materialize_probabilities()
+            if isinstance(plan, _KERNEL_PLANS):
+                # A kernel's p-less output tuples were allocated under
+                # this plan, so the root is filled in place (DESIGN.md
+                # §6.3); scans and selections hand out catalog tuples.
+                result._fill_probabilities()
+            else:
+                result = result.materialize_probabilities()
     return result
 
 

@@ -36,6 +36,9 @@ QUERIES = [
     "(b LEFT OUTER JOIN c) FULL OUTER JOIN b",
     "b FULL OUTER JOIN (b LEFT OUTER JOIN c)",
     "(c RIGHT OUTER JOIN b) LEFT OUTER JOIN (b LEFT OUTER JOIN c)",
+    # Both sides null-padded and join-attribute-only: the natural full
+    # outer join collapses to a TP union over null-bearing facts.
+    "(a FULL OUTER JOIN c ON k) FULL OUTER JOIN (a LEFT OUTER JOIN c ON k)",
 ]
 
 
